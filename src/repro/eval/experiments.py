@@ -6,20 +6,23 @@ paper's published values, and a ``render()`` method producing the
 paper-vs-measured report.  DESIGN.md's experiment index maps each to its
 benchmark entry point.
 
-Modules are built once and cached — netlist construction is a second or
-two each, and the benchmarks call these functions repeatedly.  The
-cache has two levels: an in-process ``lru_cache`` and an on-disk pickle
-cache under the repository's ``.cache/modules/`` keyed by the builder
-name and a fingerprint of the generator sources plus the cell library,
-so repeated benchmark *processes* skip netlist construction as well
-(``REPRO_MODULE_CACHE`` overrides the directory; ``0`` disables).
+Netlists are built once per cache root — construction and buffering
+take a second or two each, and the tables, sweeps and benchmarks ask
+for the same designs over and over.  :func:`load_netlist` keys an
+on-disk pickle by the builder, its canonical parameters (defaults
+bound) and :func:`source_fingerprint`, so a sweep point identical to a
+named design loads that design's pickle instead of rebuilding it.
+:func:`cached_module` is its memoized view of the eight named designs.
+The pickles share the module cache root with the compiled simulation
+kernels (:mod:`repro.hdl.diskcache`: ``REPRO_MODULE_CACHE`` overrides
+the directory, ``0`` disables both); counters ``module_cache.hits`` /
+``module_cache.misses`` count pickle lookups.
 """
 
 import functools
 import hashlib
-import os
+import inspect
 import pickle
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -31,9 +34,7 @@ from repro.arith.partial_products import (
     occupancy_grid,
 )
 from repro.bits.ieee754 import BINARY16, BINARY32, BINARY64, BINARY128
-from repro.circuits.mult_radix4 import radix4_multiplier
-from repro.circuits.mult_radix8 import radix8_multiplier
-from repro.circuits.mult_radix16 import radix16_multiplier
+from repro.circuits.mult_common import build_multiplier
 from repro.circuits.reducer import build_reducer
 from repro.core.pipeline_unit import build_mf_multiplier
 from repro.core.reduction import reduce_binary64, widen_binary32
@@ -41,6 +42,7 @@ from repro.core.vector_unit import FormatPowerTable, VectorMultiplier
 from repro.eval.tables import paper_vs_measured, render_table
 from repro.eval.workloads import WorkloadGenerator
 from repro.hdl.area.model import area_report
+from repro.hdl.diskcache import module_cache_dir, write_atomic
 from repro.hdl.library import FO4_PS, default_library
 from repro.hdl.power.monte_carlo import (
     estimate_power,
@@ -48,6 +50,7 @@ from repro.hdl.power.monte_carlo import (
     power_replay_shard,
     power_report_from_shards,
 )
+from repro.hdl.sim.compile import mark_reusable
 from repro.hdl.timing.sta import analyze, critical_path_breakdown
 
 #: Published values (the paper's Tables I, II, III and V).
@@ -99,61 +102,69 @@ def source_fingerprint():
     return _source_fingerprint()
 
 
-def _module_cache_dir():
-    """The on-disk module cache directory, or ``None`` when disabled."""
-    env = os.environ.get("REPRO_MODULE_CACHE")
-    if env == "0":
-        return None
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / ".cache" / "modules"
+def load_netlist(builder, **params):
+    """The netlist ``builder(**params)`` returns, built once per cache root.
+
+    The on-disk pickle is keyed by the builder, its canonical parameters
+    (every default bound, so ``build_multiplier(4)`` and
+    ``build_multiplier(4, adder_style="kogge_stone")`` share an entry)
+    and :func:`source_fingerprint`.  Not memoized in process: every call
+    returns a fresh module, marked for on-disk simulation kernels
+    (:func:`repro.hdl.sim.compile.mark_reusable`).  A corrupt or stale
+    entry silently rebuilds.
+    """
+    bound = inspect.signature(builder).bind(**params)
+    bound.apply_defaults()
+    name = builder.__name__
+    key = repr((builder.__module__, builder.__qualname__,
+                sorted(bound.arguments.items())))
+    cache_dir = module_cache_dir()
+    reg = obs.registry()
+    if cache_dir is not None:
+        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+        path = cache_dir / f"{name}-{digest}-{_source_fingerprint()}.pkl"
+        try:
+            with obs.span(f"module:load:{name}", cat="module"):
+                with open(path, "rb") as fh:
+                    module = pickle.load(fh)
+            reg.inc("module_cache.hits")
+            mark_reusable(module)
+            return module
+        except Exception:
+            pass
+    reg.inc("module_cache.misses")
+    with obs.span(f"module:build:{name}", cat="module"):
+        module = builder(**params)
+    if cache_dir is not None:
+        write_atomic(path, lambda fh: pickle.dump(
+            module, fh, protocol=pickle.HIGHEST_PROTOCOL))
+    mark_reusable(module)
+    return module
+
+
+#: The named experiment netlists.  The lambdas look their builder up at
+#: call time, so a wrapped builder (a tracer, a test spy) sees the call.
+NAMED_DESIGNS = {
+    "r16": lambda: load_netlist(build_multiplier, radix_log2=4),
+    "r16_pipe": lambda: load_netlist(build_multiplier, radix_log2=4,
+                                     pipeline_cut="after_ppgen"),
+    "r4": lambda: load_netlist(build_multiplier, radix_log2=2),
+    "r4_pipe": lambda: load_netlist(build_multiplier, radix_log2=2,
+                                    pipeline_cut="after_ppgen"),
+    "r8": lambda: load_netlist(build_multiplier, radix_log2=3),
+    "mf": lambda: load_netlist(build_mf_multiplier),
+    "mf_quad": lambda: load_netlist(build_mf_multiplier, quad_fp16=True),
+    "reducer": lambda: load_netlist(build_reducer),
+}
 
 
 @functools.lru_cache(maxsize=None)
 def cached_module(which):
-    """Build-once cache for the experiment netlists.
+    """One named experiment netlist (:data:`NAMED_DESIGNS`), memoized.
 
-    Backed by the on-disk pickle cache described in the module
-    docstring; a corrupt or stale cache entry silently rebuilds.
+    Callers share the returned module and must not mutate it.
     """
-    builders = {
-        "r16": lambda: radix16_multiplier(),
-        "r16_pipe": lambda: radix16_multiplier(pipeline_cut="after_ppgen"),
-        "r4": lambda: radix4_multiplier(),
-        "r4_pipe": lambda: radix4_multiplier(pipeline_cut="after_ppgen"),
-        "r8": lambda: radix8_multiplier(),
-        "mf": lambda: build_mf_multiplier(),
-        "mf_quad": lambda: build_mf_multiplier(quad_fp16=True),
-        "reducer": lambda: build_reducer(),
-    }
-    builder = builders[which]
-    cache_dir = _module_cache_dir()
-    reg = obs.registry()
-    if cache_dir is None:
-        reg.inc("module_cache.misses")
-        with obs.span(f"module:build:{which}", cat="module"):
-            return builder()
-    path = cache_dir / f"{which}-{_source_fingerprint()}.pkl"
-    try:
-        with obs.span(f"module:load:{which}", cat="module"):
-            with open(path, "rb") as fh:
-                module = pickle.load(fh)
-        reg.inc("module_cache.hits")
-        return module
-    except Exception:
-        pass
-    reg.inc("module_cache.misses")
-    with obs.span(f"module:build:{which}", cat="module"):
-        module = builder()
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(module, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-    except Exception:
-        pass                    # caching is best-effort
-    return module
+    return NAMED_DESIGNS[which]()
 
 
 # ----------------------------------------------------------------------

@@ -309,6 +309,7 @@ def run_graph(jobs, workers=0, cache=None, backend="auto", progress=None,
         return unblocked
 
     reg = obs.registry()
+    submitted = {}              # leaf name -> submit time
     with make_backend(chosen, eff_workers, hosts=hosts) as pool, \
             obs.span("graph:run", cat="orchestrator", jobs=total,
                      backend=chosen, workers=eff_workers):
@@ -349,6 +350,7 @@ def run_graph(jobs, workers=0, cache=None, backend="auto", progress=None,
                                  flow=obs.new_span_id())
                 obs.flow_start(f"sched:{name}", trace_ctx["flow"],
                                cat="orchestrator")
+            submitted[name] = time.perf_counter()
             pool.submit(LeafTask(name=name, fn=jb.fn, params=jb.params,
                                  weight=jb.weight,
                                  fingerprint=fingerprint,
@@ -371,9 +373,12 @@ def run_graph(jobs, workers=0, cache=None, backend="auto", progress=None,
                 cache.store(jb, res.value)
             outcome = JobOutcome(res.name, res.value, res.seconds,
                                  cached=False, mode=pool.mode)
-            obs.complete_event(f"job:{res.name}",
-                               time.perf_counter() - res.seconds,
-                               outcome.seconds, cat="orchestrator",
+            # The job span runs from submit to landing on this clock;
+            # ``res.seconds`` is the worker's execution time alone.
+            t_submit = submitted.pop(res.name)
+            obs.complete_event(f"job:{res.name}", t_submit,
+                               time.perf_counter() - t_submit,
+                               cat="orchestrator",
                                mode=pool.mode, cached=False,
                                worker=res.worker)
             _note_outcome(outcome)

@@ -14,7 +14,6 @@ cost nothing.
 
 import concurrent.futures
 import multiprocessing
-import time
 
 from repro.eval.sched.base import Backend, execute_task
 
@@ -25,7 +24,7 @@ class ForkBackend(Backend):
     def __init__(self, workers):
         self.workers = max(1, int(workers))
         self._pool = None
-        self._futures = {}
+        self._futures = set()
 
     def _ensure_pool(self):
         if self._pool is None:
@@ -39,18 +38,14 @@ class ForkBackend(Backend):
 
     def submit(self, task):
         pool = self._ensure_pool()
-        self._futures[pool.submit(execute_task, task)] = \
-            (task, time.perf_counter())
+        self._futures.add(pool.submit(execute_task, task))
 
     def next_result(self):
         done, __ = concurrent.futures.wait(
             self._futures, return_when=concurrent.futures.FIRST_COMPLETED)
         future = next(iter(done))
-        task, submitted = self._futures.pop(future)
-        result = future.result()
-        # Report queue-wait plus execution, as the pool path always has.
-        result.seconds = time.perf_counter() - submitted
-        return result
+        self._futures.remove(future)
+        return future.result()
 
     @property
     def outstanding(self):

@@ -126,13 +126,12 @@ class _Host:
 class _TaskState:
     """Lifecycle of one submitted leaf across offers/pulls/dispatch."""
 
-    __slots__ = ("task", "phase", "submitted", "offers_waiting",
+    __slots__ = ("task", "phase", "offers_waiting",
                  "hit_hosts", "miss_hosts", "pull_host", "requeues")
 
     def __init__(self, task):
         self.task = task
         self.phase = "new"       # offering | ready | inflight | pulling | done
-        self.submitted = time.perf_counter()
         self.offers_waiting = set()     # host indices yet to answer
         self.hit_hosts = []             # host indices that hold the digest
         self.miss_hosts = []            # host indices that reported a miss
@@ -490,9 +489,6 @@ class RemoteBackend(Backend):
 
     def _settle(self, state, result):
         state.phase = "done"
-        state.submitted, submitted = None, state.submitted
-        if submitted is not None:
-            result.seconds = time.perf_counter() - submitted
         self._results.append(result)
 
     # ------------------------------------------------------------------

@@ -7,16 +7,31 @@ sweep; we do:
 * **final CPA style** — ripple / Brent-Kung / Kogge-Stone / carry-select;
 * **pipeline cut** — after the pre-computation vs after PPGEN;
 * **tree style** — Dadda 3:2 vs 4:2-compressor-first.
+
+Every point loads its netlist through
+:func:`repro.eval.experiments.load_netlist`, so the points that equal a
+named design (radix-4/8/16, ``cpa=kogge_stone``, ``cut=None``,
+``cut=after_ppgen``, the 3:2 trees, ``multi-format``) reuse its
+pickle instead of building it again.
 """
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.circuits.mult_common import build_multiplier
+from repro.core.pipeline_unit import (
+    FRMT_FP32X2,
+    FRMT_FP64,
+    FRMT_INT64,
+    build_mf_multiplier,
+)
+from repro.eval.experiments import load_netlist
 from repro.eval.tables import render_table
 from repro.eval.workloads import WorkloadGenerator
 from repro.hdl.area.model import area_report
+from repro.hdl.buffering import insert_buffers
 from repro.hdl.library import default_library
+from repro.hdl.optimize import optimize, tie_input
 from repro.hdl.power.monte_carlo import estimate_power
 from repro.hdl.sim.levelized import LevelizedSimulator
 from repro.hdl.timing.sta import analyze
@@ -107,66 +122,64 @@ SPECIALIZATION_LABELS = ("multi-format", "int64-only", "fp64-only",
 def radix_point(radix_log2, power_cycles=0):
     """One radix-sweep design point (leaf job)."""
     label = dict((k, lbl) for k, lbl in RADIX_POINTS)[radix_log2]
-    return measure_design_point(label, build_multiplier(radix_log2),
-                                power_cycles=power_cycles)
+    module = load_netlist(build_multiplier, radix_log2=radix_log2)
+    return measure_design_point(label, module, power_cycles=power_cycles)
 
 
 def cpa_point(style, radix_log2=4, power_cycles=0):
     """One CPA-style design point (leaf job)."""
-    module = build_multiplier(radix_log2, adder_style=style)
+    module = load_netlist(build_multiplier, radix_log2=radix_log2,
+                          adder_style=style)
     return measure_design_point(f"cpa={style}", module,
                                 power_cycles=power_cycles)
 
 
 def cut_point(cut, radix_log2=4, power_cycles=0):
     """One pipeline-cut design point (leaf job)."""
-    module = build_multiplier(radix_log2, pipeline_cut=cut)
+    module = load_netlist(build_multiplier, radix_log2=radix_log2,
+                          pipeline_cut=cut)
     return measure_design_point(f"cut={cut}", module,
                                 power_cycles=power_cycles)
 
 
 def tree_point(radix_log2, use_4_2, power_cycles=0):
     """One tree-style design point (leaf job)."""
-    module = build_multiplier(radix_log2, use_4_2=use_4_2)
+    module = load_netlist(build_multiplier, radix_log2=radix_log2,
+                          use_4_2=use_4_2)
     label = dict((k, lbl) for k, lbl, __ in TREE_POINTS)[radix_log2]
     tag = "4:2" if use_4_2 else "3:2"
     return measure_design_point(f"{label} {tag}", module,
                                 power_cycles=power_cycles)
 
 
+#: ``frmt`` code each single-format specialization ties.
+SPECIALIZED_FORMATS = {"int64-only": FRMT_INT64, "fp64-only": FRMT_FP64,
+                       "fp32x2-only": FRMT_FP32X2}
+
+
+def specialized_mf_multiplier(label):
+    """The MF unit with ``frmt`` tied to one format, optimized, buffered.
+
+    Tying ``frmt`` lets the optimizer reap the other formats' logic.
+    """
+    module = build_mf_multiplier(buffer_max_load=None)
+    tie_input(module, "frmt", SPECIALIZED_FORMATS[label])
+    optimize(module)
+    insert_buffers(module, default_library())
+    return module
+
+
 def specialization_point(label):
     """One format-specialization design point (leaf job).
 
-    ``"multi-format"`` measures the full unit; the ``*-only`` labels tie
-    ``frmt`` and let the optimizer reap the other formats' logic.
+    ``"multi-format"`` measures the full unit; the ``*-only`` labels
+    measure :func:`specialized_mf_multiplier`.
     """
-    from repro.core.pipeline_unit import (
-        FRMT_FP32X2,
-        FRMT_FP64,
-        FRMT_INT64,
-        build_mf_multiplier,
-    )
-    from repro.hdl.buffering import insert_buffers
-    from repro.hdl.optimize import optimize, tie_input
-
-    lib = default_library()
     if label == "multi-format":
-        module = build_mf_multiplier()
+        module = load_netlist(build_mf_multiplier)
     else:
-        code = {"int64-only": FRMT_INT64, "fp64-only": FRMT_FP64,
-                "fp32x2-only": FRMT_FP32X2}[label]
-        module = build_mf_multiplier(buffer_max_load=None)
-        tie_input(module, "frmt", code)
-        optimize(module)
-        insert_buffers(module, lib)
-    timing = analyze(module, lib)
-    area = area_report(module, lib)
-    return DesignPoint(
-        label=label, gates=len(module.gates),
-        registers=len(module.registers),
-        latency_ps=timing.latency_ps,
-        clock_ps=timing.clock_period_ps,
-        area_knand2=area.total_nand2_eq / 1000.0)
+        module = load_netlist(specialized_mf_multiplier, label=label)
+    return measure_design_point(label, module, verify_patterns=0)
 
 
 def sweep_radix(power_cycles=0):

@@ -7,19 +7,21 @@ multiplier that tax dominates the runtime of both the levelized runs and
 the event-driven glitch replay.
 
 This module removes it by *compiling* a :class:`~repro.hdl.module.Module`
-exactly once into
+into four kernels, each built on its first use:
 
-* a **levelized kernel** — straight-line Python source, one statement
-  per gate/register in topological order, operating bit-parallel on the
+* ``levelized`` — straight-line Python source, one statement per
+  gate/register in topological order, operating bit-parallel on the
   packed pattern words (``v[out] = M ^ (v[a] & v[b])`` …), built with
   ``compile()``/``exec`` and chunked into several functions to keep the
   code objects small;
-* a **scalar settle kernel** — the same straight-line code over the
-  combinational gates only (mask fixed to 1), used by the event
-  simulator to settle the network from scratch;
-* **per-gate evaluation closures** — one zero-argument lambda per gate
-  that recomputes the gate's scalar output from the simulator's live
-  ``values`` list, used in the event simulator's inner scheduling loop.
+* ``settle`` — the same straight-line code over the combinational gates
+  only (mask fixed to 1), used by the event simulator to settle the
+  network from scratch;
+* ``evals`` — one zero-argument lambda per gate that recomputes the
+  gate's scalar output from the simulator's live ``values`` list, used
+  in the event simulator's inner scheduling loop;
+* ``masked-evals`` — the same closures bit-parallel under a pattern
+  mask, for the differential fault engine.
 
 Generated expressions mirror :data:`repro.hdl.cell.CELL_KINDS` exactly
 (a unit test sweeps every kind against ``cell_eval``), and because the
@@ -27,18 +29,33 @@ kernels evaluate the same exact integer operations in the same
 topological discipline, compiled results are **bit-identical** to the
 interpreters' — the compile pass is a pure speedup.
 
-Compilation results are cached per ``Module`` instance (weakly, so
-modules remain collectable); mutating a module after first compile is
-detected by a cheap shape check and triggers recompilation.
+Kernels are cached at two levels.  In process, :func:`compiled_module`
+keeps one :class:`CompiledModule` per ``Module`` instance (weakly, so
+modules remain collectable; a module that grew since is recompiled).
+On disk, the kernels of netlists marked by :func:`mark_reusable` (the
+cached netlists :func:`repro.eval.experiments.load_netlist` returns)
+are marshalled under the module cache root (:mod:`repro.hdl.diskcache`;
+``REPRO_MODULE_CACHE=0`` disables) and keyed by :func:`netlist_digest`
+— the netlist's structure, this module's and ``toposort.py``'s source
+bytes, the expression templates and the interpreter's bytecode magic
+number.  So such a kernel is generated and compiled once per cache
+root: every later process, worker, or structurally identical netlist
+(a sweep point equal to a named design) loads it.  Counters
+``compile.artefacts.hits`` / ``compile.artefacts.misses`` count
+lookups, ``compile.kernels`` counts real compilations.
 """
 
+import functools
+import hashlib
+import importlib.util
+import marshal
 import weakref
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from pathlib import Path
 
 from repro import obs
 from repro.errors import NetlistError
 from repro.hdl.cell import CELL_KINDS
+from repro.hdl.diskcache import module_cache_dir, write_atomic
 from repro.hdl.sim.toposort import topo_gate_order, topo_node_order
 
 #: kind -> expression template.  ``{M}`` is the all-patterns mask
@@ -84,83 +101,188 @@ def gate_expr(gate, mask_name="M"):
     return template.format(*[f"v[{net}]" for net in gate.inputs], M=mask_name)
 
 
+def _statements(module, kind):
+    """The generated source lines of one kernel of ``module``."""
+    gates = module.gates
+    if kind == "levelized":
+        registers = module.registers
+        stmts = []
+        for node in topo_node_order(module):
+            if node >= 0:
+                gate = gates[node]
+                stmts.append(f"v[{gate.output}] = {gate_expr(gate)}")
+            else:
+                reg = registers[-node - 1]
+                stmts.append(f"v[{reg.q}] = (v[{reg.d}] << 1) & R")
+        return stmts
+    if kind == "settle":
+        return [f"v[{gates[idx].output}] = {gate_expr(gates[idx])}"
+                for idx in topo_gate_order(module)]
+    if kind in ("evals", "masked-evals"):
+        mask_name = "M" if kind == "masked-evals" else "1"
+        return [f"a(lambda: {gate_expr(g, mask_name=mask_name)})"
+                for g in gates]
+    raise NetlistError(f"unknown kernel {kind!r}")
+
+
+def _compile_source(statements, tag, args):
+    """``compile()`` chunks of statements as ``def _k(args)`` modules."""
+    codes = []
+    with obs.span("compile:kernel", cat="compile", tag=tag,
+                  statements=len(statements)):
+        for start in range(0, len(statements), CHUNK_STATEMENTS):
+            body = statements[start:start + CHUNK_STATEMENTS] or ["pass"]
+            src = f"def _k({args}):\n    " + "\n    ".join(body)
+            codes.append(compile(
+                src, f"<repro.hdl.sim.compile:{tag}:{start}>", "exec"))
+    obs.registry().inc("compile.kernels")
+    return codes
+
+
 def _compile_chunks(statements, tag):
-    """Exec chunks of statements as ``def _k(v, M, R)`` functions.
+    """Code objects defining ``_k(v, M, R)`` straight-line kernels.
 
     ``M`` is the all-patterns mask; ``R`` is the register shift mask
     (``M`` for a plain run, ``M & ~segment_starts`` for a segmented
     superword run — see :meth:`CompiledModule.run_levelized`).
     """
-    fns = []
-    with obs.span("compile:kernel", cat="compile", tag=tag,
-                  statements=len(statements)):
-        for start in range(0, len(statements), CHUNK_STATEMENTS):
-            body = statements[start:start + CHUNK_STATEMENTS] or ["pass"]
-            src = "def _k(v, M, R):\n    " + "\n    ".join(body)
-            namespace = {}
-            code = compile(src, f"<repro.hdl.sim.compile:{tag}:{start}>",
-                           "exec")
-            exec(code, namespace)
-            fns.append(namespace["_k"])
-    obs.registry().inc("compile.kernels")
-    return fns
+    return _compile_source(statements, tag, "v, M, R")
 
 
-def _compile_eval_factories(gates, tag, mask_name="1"):
-    """Exec chunks of ``lambda:`` appends building per-gate closures.
+def _compile_eval_factories(statements, tag, masked=False):
+    """Code objects defining ``_k`` factories of per-gate closures.
 
-    With the default ``mask_name="1"`` the closures are scalar (the
-    event simulator's case).  With ``mask_name="M"`` the generated
-    functions take the all-patterns mask as an argument and the closures
-    evaluate **bit-parallel** over the packed pattern words — what the
+    Scalar factories take ``(v, a)`` (the event simulator's case);
+    ``masked`` ones take ``(v, M, a)`` and their closures evaluate
+    **bit-parallel** over the packed pattern words — what the
     differential fault engine binds against its overlay value list.
     """
-    fns = []
-    gates = list(gates)
-    args = "v, a" if mask_name == "1" else "v, M, a"
-    with obs.span("compile:kernel", cat="compile", tag=tag,
-                  statements=len(gates)):
-        for start in range(0, len(gates), CHUNK_STATEMENTS):
-            body = [f"a(lambda: {gate_expr(g, mask_name=mask_name)})"
-                    for g in gates[start:start + CHUNK_STATEMENTS]] or ["pass"]
-            src = f"def _k({args}):\n    " + "\n    ".join(body)
-            namespace = {}
-            code = compile(src, f"<repro.hdl.sim.compile:{tag}:{start}>",
-                           "exec")
-            exec(code, namespace)
-            fns.append(namespace["_k"])
-    obs.registry().inc("compile.kernels")
-    return fns
+    return _compile_source(statements, tag,
+                           "v, M, a" if masked else "v, a")
 
 
-@dataclass
+def compile_module(module, kind):
+    """Generate and compile one kernel of ``module`` (uncached).
+
+    Returns the kernel's code objects; :func:`compiled_module` is the
+    cached entry point.
+    """
+    tag = f"{module.name or 'module'}:{kind}"
+    with obs.span("compile:module", cat="compile", module=module.name,
+                  kernel=kind, gates=len(module.gates)):
+        statements = _statements(module, kind)
+        if kind in ("levelized", "settle"):
+            return _compile_chunks(statements, tag)
+        return _compile_eval_factories(statements, tag,
+                                       masked=kind == "masked-evals")
+
+
+@functools.lru_cache(maxsize=1)
+def _codegen_source():
+    here = Path(__file__).resolve().parent
+    return b"".join((here / name).read_bytes()
+                    for name in ("compile.py", "toposort.py"))
+
+
+def netlist_digest(module):
+    """Key of ``module``'s kernel artefacts: everything their code
+    depends on.
+
+    Covers the interpreter's bytecode magic number (marshal output is
+    version-specific), the codegen sources and templates, and the
+    netlist's structure: ``n_nets``, every gate's ``(kind, inputs,
+    output)`` in index order and every register's ``(d, q)``.  Names,
+    ports and block labels do not enter the generated code.
+    """
+    digest = hashlib.sha256(importlib.util.MAGIC_NUMBER)
+    digest.update(_codegen_source())
+    digest.update(repr((sorted(EXPR_TEMPLATES.items()), CHUNK_STATEMENTS,
+                        module.n_nets)).encode())
+    digest.update(repr([(g.kind, g.inputs, g.output)
+                        for g in module.gates]).encode())
+    digest.update(repr([(r.d, r.q) for r in module.registers]).encode())
+    return digest.hexdigest()[:32]
+
+
+def _checksum(payload):
+    return hashlib.blake2b(payload, digest_size=16).digest()
+
+
+def _load_artefact(path):
+    """The code objects stored at ``path``; ``None`` if absent or bad."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    head, payload = data[:16], memoryview(data)[16:]
+    if len(head) < 16 or head != _checksum(payload):
+        return None
+    try:
+        return marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):
+        return None
+
+
+def _store_artefact(path, codes):
+    payload = marshal.dumps(codes)
+
+    def write(fh):
+        fh.write(_checksum(payload))
+        fh.write(payload)
+    write_atomic(path, write)
+
+
+def _bind(code):
+    namespace = {}
+    exec(code, namespace)
+    return namespace["_k"]
+
+
 class CompiledModule:
-    """One module flattened and specialized for fast simulation.
+    """One module's simulation kernels, each built on first use.
 
-    Statement generation (cheap string work) happens at construction;
-    the ``compile()``/``exec`` of each of the three kernels is deferred
-    to its first use and cached — a consumer that only runs levelized
-    patterns (or hands the event loop to the compiled C kernel) never
-    pays for the kernels it doesn't call.
+    A consumer that only runs levelized patterns (or hands the event
+    loop to the compiled C kernel) never pays for the kernels it
+    doesn't call.  Only the bound kernel functions are kept — never the
+    generated statements.
     """
 
-    n_nets: int
-    n_gates: int
-    n_registers: int
-    #: Levelized node order: gate indices >= 0, registers as -1 - ridx.
-    order: List[int]
-    #: Combinational-only gate order (register q nets act as sources).
-    gate_order: List[int]
-    _tag: str = "module"
-    _level_stmts: List[str] = field(repr=False, default_factory=list)
-    _settle_stmts: List[str] = field(repr=False, default_factory=list)
-    _gates: List = field(repr=False, default_factory=list)
-    _level_fns: Optional[List[Callable]] = field(repr=False, default=None)
-    _settle_fns: Optional[List[Callable]] = field(repr=False, default=None)
-    _eval_factories: Optional[List[Callable]] = field(repr=False,
-                                                      default=None)
-    _masked_eval_factories: Optional[List[Callable]] = field(repr=False,
-                                                             default=None)
+    def __init__(self, module):
+        self.n_nets = module.n_nets
+        self.n_gates = len(module.gates)
+        self.n_registers = len(module.registers)
+        # Weak: the in-process cache maps module -> CompiledModule, so a
+        # strong reference back would keep every module alive.
+        self._module = weakref.ref(module)
+        self._digest = None
+        self._kernels = {}
+
+    def _kernel(self, kind):
+        fns = self._kernels.get(kind)
+        if fns is None:
+            fns = self._kernels[kind] = [_bind(c) for c in self._codes(kind)]
+        return fns
+
+    def _codes(self, kind):
+        """Load ``kind``'s code objects from disk, or compile and store."""
+        module = self._module()
+        if module is None:
+            raise NetlistError("compiled module outlived its netlist")
+        cache_dir = module_cache_dir()
+        if cache_dir is None or module not in _REUSABLE:
+            return compile_module(module, kind)
+        if self._digest is None:
+            self._digest = netlist_digest(module)
+        path = cache_dir / f"kernel-{self._digest}-{kind}.marshal"
+        reg = obs.registry()
+        codes = _load_artefact(path)
+        if codes is not None:
+            reg.inc("compile.artefacts.hits")
+            return codes
+        reg.inc("compile.artefacts.misses")
+        codes = compile_module(module, kind)
+        _store_artefact(path, codes)
+        return codes
 
     def run_levelized(self, values, m, reg_mask=None):
         """Evaluate every gate and register time-shift, bit-parallel.
@@ -171,22 +293,14 @@ class CompiledModule:
         which is exactly what makes concatenated independent stimulus
         sequences bit-identical to separate runs.
         """
-        fns = self._level_fns
-        if fns is None:
-            fns = self._level_fns = _compile_chunks(
-                self._level_stmts, f"{self._tag}:levelized")
         if reg_mask is None:
             reg_mask = m
-        for fn in fns:
+        for fn in self._kernel("levelized"):
             fn(values, m, reg_mask)
 
     def settle(self, values):
         """Zero-delay scalar settle of the combinational gates."""
-        fns = self._settle_fns
-        if fns is None:
-            fns = self._settle_fns = _compile_chunks(
-                self._settle_stmts, f"{self._tag}:settle")
-        for fn in fns:
+        for fn in self._kernel("settle"):
             fn(values, 1, 1)
 
     def make_gate_evals(self, values):
@@ -196,12 +310,8 @@ class CompiledModule:
         from the current ``values`` — the event simulator's inner loop
         calls these instead of dispatching through ``cell_eval``.
         """
-        factories = self._eval_factories
-        if factories is None:
-            factories = self._eval_factories = _compile_eval_factories(
-                self._gates, f"{self._tag}:evals")
         evals = []
-        for fn in factories:
+        for fn in self._kernel("evals"):
             fn(values, evals.append)
         return evals
 
@@ -213,66 +323,28 @@ class CompiledModule:
         The factories are mask-agnostic and cached; the mask binds per
         call, so engines over different pattern counts share them.
         """
-        factories = self._masked_eval_factories
-        if factories is None:
-            factories = self._masked_eval_factories = \
-                _compile_eval_factories(self._gates,
-                                        f"{self._tag}:masked-evals",
-                                        mask_name="M")
         evals = []
-        for fn in factories:
+        for fn in self._kernel("masked-evals"):
             fn(values, m, evals.append)
         return evals
 
-    @property
-    def stats(self):
-        compiled = [fns for fns in (self._level_fns, self._settle_fns)
-                    if fns is not None]
-        return {
-            "gates": self.n_gates,
-            "registers": self.n_registers,
-            "kernel_chunks": sum(len(fns) for fns in compiled),
-        }
-
-
-def compile_module(module):
-    """Compile ``module`` into a :class:`CompiledModule` (uncached)."""
-    with obs.span("compile:module", cat="compile", module=module.name,
-                  gates=len(module.gates)):
-        return _compile_module(module)
-
-
-def _compile_module(module):
-    order = topo_node_order(module)
-    gate_order = topo_gate_order(module)
-    gates = module.gates
-    registers = module.registers
-
-    level_stmts = []
-    for node in order:
-        if node >= 0:
-            gate = gates[node]
-            level_stmts.append(f"v[{gate.output}] = {gate_expr(gate)}")
-        else:
-            reg = registers[-node - 1]
-            level_stmts.append(f"v[{reg.q}] = (v[{reg.d}] << 1) & R")
-    settle_stmts = [f"v[{gates[idx].output}] = {gate_expr(gates[idx])}"
-                    for idx in gate_order]
-
-    return CompiledModule(
-        n_nets=module.n_nets,
-        n_gates=len(gates),
-        n_registers=len(registers),
-        order=order,
-        gate_order=gate_order,
-        _tag=module.name or "module",
-        _level_stmts=level_stmts,
-        _settle_stmts=settle_stmts,
-        _gates=list(gates),
-    )
-
 
 _CACHE = weakref.WeakKeyDictionary()
+
+#: Modules whose kernels are stored on disk (see :func:`mark_reusable`).
+_REUSABLE = weakref.WeakSet()
+
+
+def mark_reusable(module):
+    """Store and load ``module``'s kernels as on-disk artefacts.
+
+    For netlists that later processes build again identically — the
+    cached netlists :func:`repro.eval.experiments.load_netlist` hands
+    out.  Unmarked modules (fault-injection clones, ad-hoc test
+    netlists) compile in process only, so one-off netlists never write
+    files that nothing reads again.
+    """
+    _REUSABLE.add(module)
 
 
 def compiled_module(module):
@@ -286,6 +358,5 @@ def compiled_module(module):
     if (cm is None or cm.n_nets != module.n_nets
             or cm.n_gates != len(module.gates)
             or cm.n_registers != len(module.registers)):
-        cm = compile_module(module)
-        _CACHE[module] = cm
+        cm = _CACHE[module] = CompiledModule(module)
     return cm

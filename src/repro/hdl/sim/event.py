@@ -51,6 +51,7 @@ from repro.errors import SimulationError
 from repro.hdl.cell import cell_eval
 from repro.hdl.sim import ckernel
 from repro.hdl.sim.compile import compiled_module
+from repro.hdl.sim.toposort import topo_gate_order
 
 
 @dataclass
@@ -405,7 +406,7 @@ class EventSimulator:
     # ------------------------------------------------------------------
 
     def _settle_interpreted(self, values):
-        for idx in self._compiled.gate_order:
+        for idx in topo_gate_order(self.module):
             gate = self.module.gates[idx]
             ins = gate.inputs
             fn = self._eval[idx]

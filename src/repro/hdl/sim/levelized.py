@@ -241,8 +241,7 @@ class LevelizedSimulator:
     def __init__(self, module, compiled=True):
         self.module = module
         self._kernel = compiled_module(module) if compiled else None
-        self._order = (self._kernel.order if self._kernel is not None
-                       else topo_node_order(module))
+        self._order = None if compiled else topo_node_order(module)
 
     def run(self, stimulus, n_patterns):
         """Simulate ``n_patterns`` patterns.

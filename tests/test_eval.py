@@ -1,5 +1,7 @@
 """Tests for the workload generators and the experiment harness."""
 
+import functools
+
 import pytest
 
 from repro.bits.ieee754 import BINARY32, BINARY64
@@ -160,3 +162,49 @@ class TestExperiments:
         assert 6.0 <= status.r16_pipe_power_mw <= 10.0
         assert 7.0 <= status.r4_pipe_power_mw <= 11.0
         assert status.r16_pipe_power_mw < status.r4_pipe_power_mw
+
+
+class TestSweepReuse:
+    """Sweep points equal to a named design load its pickle."""
+
+    def test_named_design_points_build_nothing(self, tmp_path, monkeypatch):
+        from repro.eval import experiments, sweep
+
+        monkeypatch.setenv("REPRO_MODULE_CACHE", str(tmp_path))
+        fresh = {which: experiments.NAMED_DESIGNS[which]()
+                 for which in ("r16", "r16_pipe", "r4", "mf")}
+        builds = []
+
+        def counted(fn):
+            @functools.wraps(fn)
+            def build(*args, **kwargs):
+                builds.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return build
+
+        monkeypatch.setattr(sweep, "build_multiplier",
+                            counted(sweep.build_multiplier))
+        monkeypatch.setattr(sweep, "build_mf_multiplier",
+                            counted(sweep.build_mf_multiplier))
+        points = [sweep.radix_point(4),
+                  sweep.cpa_point("kogge_stone"),
+                  sweep.cut_point(None),
+                  sweep.cut_point("after_ppgen"),
+                  sweep.tree_point(2, False),
+                  sweep.tree_point(4, False),
+                  sweep.specialization_point("multi-format")]
+        assert builds == []
+
+        measure = sweep.measure_design_point
+        assert points == [
+            measure("radix-16", fresh["r16"]),
+            measure("cpa=kogge_stone", fresh["r16"]),
+            measure("cut=None", fresh["r16"]),
+            measure("cut=after_ppgen", fresh["r16_pipe"]),
+            measure("radix-4 3:2", fresh["r4"]),
+            measure("radix-16 3:2", fresh["r16"]),
+            measure("multi-format", fresh["mf"], verify_patterns=0),
+        ]
+        # A point with no named twin does build (the spy is live).
+        sweep.radix_point(3)
+        assert builds == ["build_multiplier"]

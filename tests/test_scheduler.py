@@ -70,6 +70,17 @@ def test_workers_backend_steals_under_skew():
     assert _counter("orchestrator.steals") > before
 
 
+@pytest.mark.parametrize("backend", ["fork", "workers"])
+def test_leaf_seconds_exclude_queue_wait(backend):
+    """A leaf queued behind a long one reports its own execution time."""
+    leaf = "repro.eval.sched.testing:sleepy_leaf"
+    jobs = [job("long", leaf, weight=8.0, seconds=0.6, seed=1),
+            job("short", leaf, weight=1.0, seconds=0.05, seed=2)]
+    outcomes = run_graph(jobs, workers=1, cache=None, backend=backend)
+    assert outcomes["long"].seconds >= 0.6
+    assert 0.05 <= outcomes["short"].seconds < 0.4
+
+
 def test_workers_backend_recovers_from_crash(tmp_path):
     sentinel = str(tmp_path / "crashed-once")
     before = _counter("orchestrator.worker.crashes")

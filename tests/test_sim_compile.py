@@ -5,25 +5,43 @@ kernel, the per-gate closures, the truth-table C event kernel, the
 delta-stimulus :meth:`EventSimulator.replay`, the sharded Monte Carlo —
 claims bit-identity with the historic reference implementation it
 replaced.  These tests pin that claim down kind-by-kind, on random
-netlists, and on the real multipliers.
+netlists, and on the real multipliers.  The on-disk caches behind it
+(netlist pickles and marshalled kernels) must hit across processes,
+survive unrelated source edits, miss on any change to what the
+generated code depends on, and recover from damaged files.
 """
+
+import json
+import os
+import pickle
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+from repro import obs
 from repro.errors import NetlistError, SimulationError
 from repro.hdl.cell import CELL_KINDS, cell_eval, cell_num_inputs
 from repro.hdl.library import default_library
 from repro.hdl.module import Gate, Module
 from repro.hdl.power.monte_carlo import estimate_power, shared_event_simulator
 from repro.hdl.sim import ckernel
-from repro.hdl.sim.compile import EXPR_TEMPLATES, gate_expr
+from repro.hdl.sim.compile import (
+    EXPR_TEMPLATES,
+    CompiledModule,
+    gate_expr,
+    netlist_digest,
+)
 from repro.hdl.sim.event import EventSimulator
 from repro.hdl.sim.levelized import LevelizedSimulator
 from repro.hdl.sim.toposort import topo_gate_order, topo_node_order
 from tests.test_hdl_properties import module_and_patterns
 
 KINDS = sorted(CELL_KINDS)
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 
 def _input_stim(module, patterns, t):
@@ -358,7 +376,7 @@ class TestModuleDiskCache:
         experiments.cached_module.cache_clear()
         try:
             first = experiments.cached_module("r4")
-            files = list(tmp_path.glob("r4-*.pkl"))
+            files = list(tmp_path.glob("build_multiplier-*.pkl"))
             assert len(files) == 1
             experiments.cached_module.cache_clear()
             second = experiments.cached_module("r4")   # from pickle
@@ -371,7 +389,190 @@ class TestModuleDiskCache:
             experiments.cached_module.cache_clear()
 
     def test_cache_disabled_by_env(self, monkeypatch):
-        from repro.eval.experiments import _module_cache_dir
+        from repro.hdl.diskcache import module_cache_dir
 
         monkeypatch.setenv("REPRO_MODULE_CACHE", "0")
-        assert _module_cache_dir() is None
+        assert module_cache_dir() is None
+
+    def test_failed_pickle_write_leaves_no_temp_file(self, tmp_path,
+                                                     monkeypatch):
+        from repro.eval import experiments
+
+        def boom(*args, **kwargs):
+            raise pickle.PicklingError("refused")
+
+        monkeypatch.setenv("REPRO_MODULE_CACHE", str(tmp_path))
+        monkeypatch.setattr(experiments.pickle, "dump", boom)
+        module = experiments.load_netlist(_tiny_module)
+        assert module.n_nets == _tiny_module().n_nets
+        assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# on-disk kernel artefacts
+# ----------------------------------------------------------------------
+
+def _tiny_module(kind="AND2"):
+    module = Module("tiny")
+    a = module.input("a", 3)
+    x = module.gate(kind, a[0], a[1])
+    y = module.gate("XOR2", x, a[2])
+    module.output("o", [x, module.register(y, 1)])
+    return module
+
+
+#: Runs r4's levelized kernel once and prints the counters as JSON,
+#: with bit-identity against the interpreter checked in-process.
+_PROBE = """
+import json
+from repro import obs
+from repro.eval.experiments import cached_module
+from repro.eval.workloads import WorkloadGenerator
+from repro.hdl.sim.levelized import LevelizedSimulator
+
+module = cached_module("r4")
+stim = WorkloadGenerator(11).multiplier_stimulus(8)
+run = LevelizedSimulator(module).run(stim, 8)
+ref = LevelizedSimulator(module, compiled=False).run(stim, 8)
+counters = obs.registry().snapshot()["counters"]
+print(json.dumps({"identical": run.values == ref.values,
+                  "counters": counters}))
+"""
+
+
+def _probe(src_root, cache_dir):
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_")}
+    env.update(PYTHONPATH=str(src_root), REPRO_MODULE_CACHE=str(cache_dir))
+    out = subprocess.run([sys.executable, "-c", _PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["identical"]
+    return result["counters"]
+
+
+class TestKernelArtefacts:
+    def test_second_process_compiles_nothing(self, tmp_path):
+        cold = _probe(SRC_ROOT, tmp_path)
+        assert cold.get("compile.kernels", 0) == 1
+        assert cold.get("compile.artefacts.misses", 0) == 1
+        assert len(list(tmp_path.glob("kernel-*-levelized.marshal"))) == 1
+        warm = _probe(SRC_ROOT, tmp_path)
+        assert warm.get("compile.kernels", 0) == 0
+        assert warm.get("compile.artefacts.hits", 0) == 1
+        assert warm.get("module_cache.hits", 0) == 1
+
+    def test_unrelated_source_edit_keeps_kernels(self, tmp_path):
+        src = tmp_path / "src"
+        shutil.copytree(SRC_ROOT / "repro", src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        cache = tmp_path / "cache"
+        _probe(src, cache)
+        with open(src / "repro" / "serve" / "server.py", "a") as fh:
+            fh.write("\n# an edit outside the codegen\n")
+        warm = _probe(src, cache)
+        assert warm.get("module_cache.misses", 0) == 1   # pickle stale
+        assert warm.get("compile.artefacts.hits", 0) == 1
+        assert warm.get("compile.kernels", 0) == 0
+
+    def test_digest_tracks_structure(self):
+        base = netlist_digest(_tiny_module())
+        assert netlist_digest(_tiny_module()) == base
+        assert netlist_digest(_tiny_module("OR2")) != base
+        rewired = _tiny_module()
+        gate = rewired.gates[0]
+        rewired.gates[0] = Gate(gate.kind, (gate.inputs[1], gate.inputs[0]),
+                                gate.output, gate.block)
+        assert netlist_digest(rewired) != base
+        renamed = _tiny_module()
+        renamed.name = "other"
+        assert netlist_digest(renamed) == base
+
+    def test_digest_tracks_interpreter_and_templates(self, monkeypatch):
+        import importlib.util
+
+        base = netlist_digest(_tiny_module())
+        with monkeypatch.context() as mp:
+            mp.setattr(importlib.util, "MAGIC_NUMBER", b"\x00\x00\r\n")
+            assert netlist_digest(_tiny_module()) != base
+        with monkeypatch.context() as mp:
+            mp.setitem(EXPR_TEMPLATES, "XOR2", "({1} ^ {0})")
+            assert netlist_digest(_tiny_module()) != base
+        assert netlist_digest(_tiny_module()) == base
+
+    def test_truncated_artefact_is_rebuilt(self, tmp_path, monkeypatch):
+        from repro.eval.experiments import cached_module
+        from repro.eval.workloads import WorkloadGenerator
+        from repro.hdl.sim import compile as compile_mod
+
+        monkeypatch.setenv("REPRO_MODULE_CACHE", str(tmp_path))
+        compiles = []
+        real = compile_mod.compile_module
+        monkeypatch.setattr(compile_mod, "compile_module",
+                            lambda *a: compiles.append(a[1]) or real(*a))
+        module = cached_module("r4")
+        stim = WorkloadGenerator(5).multiplier_stimulus(4)
+        ref = LevelizedSimulator(module, compiled=False).run(stim, 4).values
+
+        def run():
+            sim = LevelizedSimulator(module)
+            sim._kernel = CompiledModule(module)     # bypass the memo
+            return sim.run(stim, 4).values
+
+        assert run() == ref
+        (path,) = tmp_path.glob("kernel-*-levelized.marshal")
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:size // 2])
+        assert run() == ref                  # recompiled, not raised
+        assert compiles == ["levelized", "levelized"]
+        assert path.stat().st_size == size   # and rewritten
+        assert run() == ref
+        assert compiles == ["levelized", "levelized"]
+
+    def test_failed_artefact_write_leaves_no_temp_file(self, tmp_path,
+                                                       monkeypatch):
+        from repro.eval.experiments import cached_module
+        from repro.hdl import diskcache
+
+        def refuse(*args):
+            raise OSError("read-only")
+
+        monkeypatch.setenv("REPRO_MODULE_CACHE", str(tmp_path))
+        monkeypatch.setattr(diskcache.os, "replace", refuse)
+        module = cached_module("r4")
+        CompiledModule(module).run_levelized([0] * module.n_nets, 1)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_full_mode_mutants_write_no_artefacts(self, tmp_path,
+                                                  monkeypatch):
+        """Fault-injection clones are throwaway netlists: their kernels
+        compile in process, so a full-mode campaign leaves no
+        per-mutant files in the cache root."""
+        from repro.eval.experiments import cached_module
+        from repro.eval.fault_injection import (
+            campaign_battery,
+            mutation_coverage,
+        )
+
+        monkeypatch.setenv("REPRO_MODULE_CACHE", str(tmp_path))
+        module = cached_module("r4")
+        reg = obs.registry()
+        kernels_before = reg.counter_value("compile.kernels") or 0
+        result = mutation_coverage(module, n_mutations=4, seed=3,
+                                   mode="full",
+                                   battery=campaign_battery("r16", module))
+        assert result.attempted == 4
+        assert (reg.counter_value("compile.kernels") or 0) > kernels_before
+        digests = {path.name.split("-")[1]
+                   for path in tmp_path.glob("kernel-*.marshal")}
+        assert digests <= {netlist_digest(module)}
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_disabled_cache_is_never_keyed(self, monkeypatch):
+        from repro.eval.experiments import cached_module
+
+        monkeypatch.setenv("REPRO_MODULE_CACHE", "0")
+        module = cached_module("r4")
+        cm = CompiledModule(module)
+        cm.run_levelized([0] * module.n_nets, 1)
+        assert cm._digest is None            # never even keyed
