@@ -13,10 +13,11 @@ on-disk pickle by the builder, its canonical parameters (defaults
 bound) and :func:`source_fingerprint`, so a sweep point identical to a
 named design loads that design's pickle instead of rebuilding it.
 :func:`cached_module` is its memoized view of the eight named designs.
-The pickles share the module cache root with the compiled simulation
-kernels (:mod:`repro.hdl.diskcache`: ``REPRO_MODULE_CACHE`` overrides
-the directory, ``0`` disables both); counters ``module_cache.hits`` /
-``module_cache.misses`` count pickle lookups.
+The pickles live under the module cache root (:mod:`repro.hdl.diskcache`:
+``REPRO_MODULE_CACHE`` overrides the directory, ``0`` disables it);
+counters ``module_cache.hits`` / ``module_cache.misses`` count pickle
+lookups.  Simulating a loaded netlist generates no per-netlist code
+(:mod:`repro.hdl.sim.compile`), so nothing but the netlist is stored.
 """
 
 import functools
@@ -50,7 +51,6 @@ from repro.hdl.power.monte_carlo import (
     power_replay_shard,
     power_report_from_shards,
 )
-from repro.hdl.sim.compile import mark_reusable
 from repro.hdl.timing.sta import analyze, critical_path_breakdown
 
 #: Published values (the paper's Tables I, II, III and V).
@@ -109,9 +109,7 @@ def load_netlist(builder, **params):
     (every default bound, so ``build_multiplier(4)`` and
     ``build_multiplier(4, adder_style="kogge_stone")`` share an entry)
     and :func:`source_fingerprint`.  Not memoized in process: every call
-    returns a fresh module, marked for on-disk simulation kernels
-    (:func:`repro.hdl.sim.compile.mark_reusable`).  A corrupt or stale
-    entry silently rebuilds.
+    returns a fresh module.  A corrupt or stale entry silently rebuilds.
     """
     bound = inspect.signature(builder).bind(**params)
     bound.apply_defaults()
@@ -128,7 +126,6 @@ def load_netlist(builder, **params):
                 with open(path, "rb") as fh:
                     module = pickle.load(fh)
             reg.inc("module_cache.hits")
-            mark_reusable(module)
             return module
         except Exception:
             pass
@@ -138,7 +135,6 @@ def load_netlist(builder, **params):
     if cache_dir is not None:
         write_atomic(path, lambda fh: pickle.dump(
             module, fh, protocol=pickle.HIGHEST_PROTOCOL))
-    mark_reusable(module)
     return module
 
 

@@ -308,6 +308,12 @@ class WorkerDaemon:
 
     def stop(self):
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() makes that accept() raise at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:              # not connected on some platforms
+                pass
             try:
                 self._listener.close()
             except OSError:              # pragma: no cover

@@ -12,8 +12,9 @@ is *measured*, not guessed:
     python -m repro tune width --design r16  # one design
 
 For each candidate ``W`` in :data:`WIDTHS` the tuner packs a seeded
-random stimulus into one ``W``×64-pattern superword, runs the compiled
-levelized kernel (best of ``repeats``), and derives ms/pattern.  The
+random stimulus into one ``W``×64-pattern superword, runs the
+straight-line levelized kernel the serve lane engines run (best of
+``repeats``), and derives ms/pattern.  The
 chosen width is the **smallest** ``W`` within :data:`KNEE_TOLERANCE`
 of the fastest — preferring narrow words keeps serve batching latency
 and memory bounded when the wider word buys nothing.
@@ -79,13 +80,16 @@ def profile_widths(design, widths=WIDTHS, seed=2017, repeats=3,
     (default :func:`time.perf_counter`).
     """
     from repro.eval.experiments import cached_module
+    from repro.hdl.sim.compile import compiled_module
     from repro.hdl.sim.levelized import LevelizedSimulator
 
     if clock is None:
         clock = time.perf_counter
     module = cached_module(design)
+    # Time the straight-line kernel the serve lane engines run.
+    compiled_module(module).compile()
     sim = LevelizedSimulator(module)
-    # One throwaway pass so kernel compilation is not billed to W=1.
+    # One throwaway pass so first-touch costs are not billed to W=1.
     sim.run(_random_stimulus(module, 64, seed), 64)
     rows = []
     for width in widths:

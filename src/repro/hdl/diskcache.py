@@ -1,10 +1,10 @@
 """The on-disk module cache root and its atomic, best-effort writes.
 
-Two artefact kinds share one directory: netlist pickles
-(:func:`repro.eval.experiments.load_netlist`) and marshalled simulation
-kernels (:mod:`repro.hdl.sim.compile`).  ``REPRO_MODULE_CACHE``
+The directory holds netlist pickles
+(:func:`repro.eval.experiments.load_netlist`).  ``REPRO_MODULE_CACHE``
 overrides the location (default: the repository's ``.cache/modules/``)
-and ``0`` disables both.
+and ``0`` disables it.  Other files there (such as ``kernel-*.marshal``
+simulation kernels an older version stored) are ignored.
 """
 
 import contextlib

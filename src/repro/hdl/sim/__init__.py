@@ -1,8 +1,8 @@
 """Netlist simulators.
 
-* :mod:`repro.hdl.sim.compile` — the netlist compile pass: generates
-  specialized straight-line evaluation code in topological order (the
-  kernels both simulators run), cached on disk by netlist structure.
+* :mod:`repro.hdl.sim.compile` — the netlist compile pass: plans of
+  precompiled per-kind gate loops in topological order (the kernels
+  both simulators run), and straight-line generated code on request.
 * :mod:`repro.hdl.sim.levelized` — zero-delay, **bit-parallel** over
   patterns: functional verification and zero-delay switching activity.
   Registers are modeled as one-cycle time shifts of the pattern axis,

@@ -2,8 +2,8 @@
 
 A fault campaign asks the same question hundreds of times: *does this
 one-gate mutation change any output word the co-simulation battery
-checks?*  The full answer — clone the module, recompile it, re-simulate
-every gate over every pattern — costs the whole datapath per mutation.
+checks?*  The full answer — clone the module and re-simulate every
+gate over every pattern — costs the whole datapath per mutation.
 Classic differential fault simulation exploits that a single-gate
 mutation can only disturb nets inside the mutated gate's **transitive
 fan-out cone**, and that bit-parallel values make "disturb" a word-level
@@ -32,10 +32,10 @@ XOR:
    the pattern window the battery actually checks), the mutant is
    *detected* and the remaining cone is abandoned.
 
-Gate evaluation reuses the compiled per-gate closures of
+Gate evaluation reuses the per-gate closures of
 :mod:`repro.hdl.sim.compile` (``make_masked_gate_evals``) over a shared
-overlay value list, so the inner loop runs the same generated
-expressions as the levelized kernel; verdicts are therefore
+overlay value list, so the inner loop runs the same expression
+templates as the levelized kernel; verdicts are therefore
 **bit-identical** to a full re-simulation — asserted by the equivalence
 suite and raced in CI.  Netlists are feed-forward (validated acyclic),
 which the single-visit heap discipline relies on.

@@ -21,9 +21,9 @@ Two event engines are available:
   delays come from a small discrete set, so event times collide
   massively and the heap shrinks from one entry per event to one entry
   per distinct timestamp.  Gate outputs are recomputed through the
-  compiled per-gate closures of :mod:`repro.hdl.sim.compile`, and the
-  zero-delay settle in :meth:`EventSimulator.initialize` runs the
-  compiled kernel.  Stimulus can be a *delta* — just the nets that
+  per-gate closures of :mod:`repro.hdl.sim.compile`, and the
+  zero-delay settle in :meth:`EventSimulator.initialize` runs its
+  settle plan.  Stimulus can be a *delta* — just the nets that
   changed — so callers replaying a cycle sequence need not rebuild a
   full per-cycle dict.
 * ``engine="heap"`` — the historic implementation: one global ``heapq``

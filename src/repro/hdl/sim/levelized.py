@@ -11,16 +11,19 @@ pipeline (cycle ``t`` sees the previous cycle's ``d``).  Pattern ``t``
 of a primary input is therefore the word applied at cycle ``t``, and an
 ``L``-stage unit's outputs line up with inputs ``L - 1`` cycles earlier.
 
-Two evaluation kernels exist:
+Three evaluation kernels exist:
 
-* the default **compiled** kernel (see :mod:`repro.hdl.sim.compile`)
-  runs straight-line generated code — one statement per gate — and is
-  what every hot path uses;
+* the default **template** kernel (see :mod:`repro.hdl.sim.compile`)
+  runs one precompiled loop per (topological level, cell kind) group of
+  gates — no code is generated for the netlist;
+* the **straight-line** kernel runs generated code, one statement per
+  gate, once someone calls ``compiled_module(module).compile()`` — what
+  the long-lived ``serve`` lane engines do;
 * the historic **interpreted** kernel (``compiled=False``) dispatches
   through ``cell_eval`` per gate; it is kept as the independent
   reference implementation the equivalence tests compare against.
 
-Both produce bit-identical values.
+All three produce bit-identical values.
 """
 
 from dataclasses import dataclass

@@ -19,10 +19,13 @@ which the software-envelope patcher indexes per transaction.  The
 *policy* width lives in the server/queue (``word_patterns``).
 
 Modules come from :func:`repro.eval.experiments.cached_module` — the
-two-level (in-process + on-disk pickle) module cache — and are then
-specialized once by :mod:`repro.hdl.sim.compile`'s levelized codegen,
-so a long-lived server pays netlist construction at most once per
-process lifetime and usually never.
+two-level (in-process + on-disk pickle) module cache — so a long-lived
+server pays netlist construction at most once per process lifetime and
+usually never.  Each lane's netlist runs thousands of short kernel
+passes, so the engine asks for straight-line generated code
+(:meth:`repro.hdl.sim.compile.CompiledModule.compile`): one compile per
+netlist and process, paid when the engine is built, buys a faster pass
+than the per-kind template loops every one-shot simulation uses.
 
 FP lanes whose operands are special (zero/subnormal/inf/NaN) are
 outside the silicon envelope: the engine substitutes 1.0 into those
@@ -39,6 +42,7 @@ from repro.bits.utils import mask
 from repro.core.pipeline_unit import MFMultUnit
 from repro.core.formats import OperandBundle
 from repro.errors import FormatError
+from repro.hdl.sim.compile import compiled_module
 from repro.hdl.sim.levelized import LevelizedSimulator
 from repro.serve.transactions import (
     LANE_GEOMETRY,
@@ -60,19 +64,24 @@ MODULE_OF = {
 }
 
 
+def _compiled_netlist(module_key):
+    """The named netlist, with its straight-line levelized kernel built."""
+    from repro.eval.experiments import cached_module
+
+    module = cached_module(module_key)
+    compiled_module(module).compile()
+    return module
+
+
 @functools.lru_cache(maxsize=None)
 def _shared_unit(module_key):
     """One batch driver per netlist, shared by every lane and server."""
-    from repro.eval.experiments import cached_module
-
-    return MFMultUnit(module=cached_module(module_key))
+    return MFMultUnit(module=_compiled_netlist(module_key))
 
 
 @functools.lru_cache(maxsize=None)
 def _shared_reducer_sim():
-    from repro.eval.experiments import cached_module
-
-    module = cached_module("reducer")
+    module = _compiled_netlist("reducer")
     return module, LevelizedSimulator(module)
 
 

@@ -135,9 +135,10 @@ def _percentile(sorted_values, q):
 def warm_engines(mix=None):
     """Build and compile every lane engine outside the timed window.
 
-    A long-lived server pays netlist construction once per process; the
-    load generator models the steady state, so module build/compile cost
-    must not be billed to the measured run.
+    A long-lived server pays netlist construction, and the ``compile()``
+    of each lane netlist's straight-line kernel, once per process; the
+    load generator models the steady state, so that cost must not be
+    billed to the measured run.
     """
     from repro.serve.engine import lane_engine
 

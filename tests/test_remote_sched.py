@@ -325,6 +325,21 @@ def test_remote_backend_rejects_unreachable_cluster():
                   hosts="127.0.0.1:9")           # discard port: refused
 
 
+def test_daemon_stop_after_a_session_returns_at_once():
+    daemon = WorkerDaemon(workers=1).start()
+    try:
+        out = run_graph(_mini_graph(fast=1), cache=None, backend="remote",
+                        hosts=f"127.0.0.1:{daemon.port}")
+        assert out["total"].value == _expected_total(fast=1)
+    finally:
+        t0 = time.perf_counter()
+        daemon.stop()
+        elapsed = time.perf_counter() - t0
+    # The blocked accept() wakes on shutdown, not at the join timeout.
+    assert elapsed < 0.1
+    assert not daemon._accept_thread.is_alive()
+
+
 def test_remote_handshake_rejects_wrong_token(tmp_path, monkeypatch):
     daemon = WorkerDaemon(workers=1, token="sesame").start()
     try:

@@ -1,26 +1,21 @@
 """Equivalence tests for the compiled simulation backend.
 
-Every fast path the compiled backend introduced — the codegen levelized
-kernel, the per-gate closures, the truth-table C event kernel, the
-delta-stimulus :meth:`EventSimulator.replay`, the sharded Monte Carlo —
-claims bit-identity with the historic reference implementation it
-replaced.  These tests pin that claim down kind-by-kind, on random
-netlists, and on the real multipliers.  The on-disk caches behind it
-(netlist pickles and marshalled kernels) must hit across processes,
-survive unrelated source edits, miss on any change to what the
-generated code depends on, and recover from damaged files.
+Every fast path the compiled backend introduced — the per-kind template
+loops and closures, the straight-line levelized kernel, the truth-table
+C event kernel, the delta-stimulus :meth:`EventSimulator.replay`, the
+sharded Monte Carlo — claims bit-identity with the historic reference
+implementation it replaced.  These tests pin that claim down
+kind-by-kind, on random netlists, and on the real multipliers.  One-shot
+simulation must generate no per-netlist code; only an explicit
+:meth:`CompiledModule.compile` (the serve lane engines) does.  The
+on-disk netlist pickles must round-trip and fail safe.
 """
 
-import json
-import os
+import builtins
 import pickle
-import shutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.errors import NetlistError, SimulationError
@@ -29,11 +24,15 @@ from repro.hdl.library import default_library
 from repro.hdl.module import Gate, Module
 from repro.hdl.power.monte_carlo import estimate_power, shared_event_simulator
 from repro.hdl.sim import ckernel
+from repro.hdl.sim import compile as compile_mod
 from repro.hdl.sim.compile import (
+    _FACTORIES,
+    _LOOPS,
     EXPR_TEMPLATES,
+    REG,
     CompiledModule,
+    compiled_module,
     gate_expr,
-    netlist_digest,
 )
 from repro.hdl.sim.event import EventSimulator
 from repro.hdl.sim.levelized import LevelizedSimulator
@@ -41,7 +40,6 @@ from repro.hdl.sim.toposort import topo_gate_order, topo_node_order
 from tests.test_hdl_properties import module_and_patterns
 
 KINDS = sorted(CELL_KINDS)
-SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 
 def _input_stim(module, patterns, t):
@@ -84,6 +82,45 @@ class TestCodegenTemplates:
 
     def test_every_kind_has_a_template(self):
         assert set(EXPR_TEMPLATES) == set(CELL_KINDS)
+        assert set(_FACTORIES) == set(CELL_KINDS)
+        assert set(_LOOPS) == set(CELL_KINDS) | {REG}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scalar_loop_and_factory_match_cell_eval(self, kind):
+        # One column holding a gate per input combination.
+        arity = cell_num_inputs(kind)
+        n = 1 << arity
+        v = [(i >> j) & 1 for i in range(n) for j in range(arity)]
+        ins = [tuple(arity * i + j for i in range(n)) for j in range(arity)]
+        out = tuple(range(len(v), len(v) + n))
+        v += [0] * n
+        _LOOPS[kind](v, 1, 1, out, *ins)
+        fn = cell_eval(kind)
+        for i in range(n):
+            bits = [v[col[i]] for col in ins]
+            expect = fn(1, *bits) & 1
+            assert v[out[i]] == expect, (kind, bits)
+            assert _FACTORIES[kind](v, 1, *[col[i] for col in ins])() \
+                == expect, (kind, bits)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_packed_loop_and_factory_match_cell_eval(self, kind):
+        # Pattern i of the single gate carries input combination i.
+        arity = cell_num_inputs(kind)
+        n = 1 << arity
+        m = (1 << n) - 1
+        words = [sum(((i >> j) & 1) << i for i in range(n))
+                 for j in range(arity)]
+        v = words + [0]
+        _LOOPS[kind](v, m, m, (arity,), *[(j,) for j in range(arity)])
+        expect = cell_eval(kind)(m, *words) & m
+        assert v[arity] == expect
+        assert _FACTORIES[kind](v, m, *range(arity))() == expect
+
+    def test_register_loop_shifts_under_the_register_mask(self):
+        v = [0b1011, 0, 0b0110, 0]
+        _LOOPS[REG](v, 0b1111, 0b1110, (1, 3), (0, 2))
+        assert v == [0b1011, 0b0110, 0b0110, 0b1100]
 
 
 class TestTruthTable:
@@ -104,17 +141,75 @@ class TestTruthTable:
 # compiled levelized kernel vs interpreted reference
 # ----------------------------------------------------------------------
 
+@st.composite
+def registered_module_and_patterns(draw):
+    """A :func:`module_and_patterns` netlist with pipeline registers
+    (and gates reading them) appended, observed on bus ``r``."""
+    module, patterns = draw(module_and_patterns())
+    nets = list(range(module.n_nets))
+    tail = []
+    for __ in range(draw(st.integers(1, 3))):
+        q = module.register(nets[draw(st.integers(0, len(nets) - 1))], 1)
+        kind = draw(st.sampled_from(("XOR2", "AND2", "NOR2", "MUX2")))
+        other = [nets[draw(st.integers(0, len(nets) - 1))]
+                 for __ in range(cell_num_inputs(kind) - 1)]
+        nets += [q, module.gate(kind, q, *other)]
+        tail.append(nets[-1])
+    module.output("r", tail)
+    return module, patterns
+
+
+def _three_kernels(module, run):
+    """``run(simulator)`` on the template plan, the interpreted
+    reference and the straight-line kernel, in that order."""
+    cm = compiled_module(module)
+    assert cm._straight is None
+    plan = run(LevelizedSimulator(module))
+    interp = run(LevelizedSimulator(module, compiled=False))
+    cm.compile()
+    straight = run(LevelizedSimulator(module))
+    return plan, interp, straight
+
+
 class TestCompiledLevelized:
-    @given(module_and_patterns())
+    @given(registered_module_and_patterns(), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_segments_agree_at_a_register_boundary(self, case, cut):
+        # The second segment starts at bit ``cut``: its register
+        # shift-in is masked off there, in every kernel.
+        module, patterns = case
+        jobs = [({"a": patterns[:cut]}, cut),
+                ({"a": patterns[cut:]}, len(patterns) - cut)]
+        plan, interp, straight = _three_kernels(
+            module, lambda sim: sim.run_segments(jobs).values)
+        assert plan == interp == straight
+        alone = LevelizedSimulator(module, compiled=False).run(*jobs[1])
+        second = [(v >> cut) & ((1 << jobs[1][1]) - 1) for v in plan]
+        assert second == alone.values
+
+    @given(registered_module_and_patterns())
+    @settings(max_examples=40, deadline=None)
+    def test_settle_plan_matches_interpreted_settle(self, case):
+        module, patterns = case
+        lib = default_library()
+        stim = _input_stim(module, patterns, 0)
+        stim.update((reg.q, (patterns[1] >> i) & 1)
+                    for i, reg in enumerate(module.registers))
+        wheel = EventSimulator(module, lib, engine="wheel")
+        heap = EventSimulator(module, lib, engine="heap")
+        wheel.initialize(stim)
+        heap.initialize(stim)
+        assert wheel.values == heap.values
+
+    @given(registered_module_and_patterns())
     @settings(max_examples=50, deadline=None)
     def test_matches_interpreter_on_random_netlists(self, case):
         module, patterns = case
         n = len(patterns)
-        compiled = LevelizedSimulator(module).run({"a": patterns}, n)
-        interp = LevelizedSimulator(module, compiled=False).run(
-            {"a": patterns}, n)
+        plan, interp, straight = _three_kernels(
+            module, lambda sim: sim.run({"a": patterns}, n).values)
         # Net-for-net, every pattern word identical.
-        assert compiled.values == interp.values
+        assert plan == interp == straight
 
     def test_matches_interpreter_on_radix16(self):
         from repro.eval.experiments import cached_module
@@ -409,7 +504,7 @@ class TestModuleDiskCache:
 
 
 # ----------------------------------------------------------------------
-# on-disk kernel artefacts
+# which kernels get compiled
 # ----------------------------------------------------------------------
 
 def _tiny_module(kind="AND2"):
@@ -421,158 +516,88 @@ def _tiny_module(kind="AND2"):
     return module
 
 
-#: Runs r4's levelized kernel once and prints the counters as JSON,
-#: with bit-identity against the interpreter checked in-process.
-_PROBE = """
-import json
-from repro import obs
-from repro.eval.experiments import cached_module
-from repro.eval.workloads import WorkloadGenerator
-from repro.hdl.sim.levelized import LevelizedSimulator
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Every call of the builtin ``compile()`` the kernel module makes."""
+    calls = []
 
-module = cached_module("r4")
-stim = WorkloadGenerator(11).multiplier_stimulus(8)
-run = LevelizedSimulator(module).run(stim, 8)
-ref = LevelizedSimulator(module, compiled=False).run(stim, 8)
-counters = obs.registry().snapshot()["counters"]
-print(json.dumps({"identical": run.values == ref.values,
-                  "counters": counters}))
-"""
+    def spy(source, filename, *args, **kwargs):
+        calls.append(filename)
+        return builtins.compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(compile_mod, "compile", spy, raising=False)
+    return calls
 
 
-def _probe(src_root, cache_dir):
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("REPRO_")}
-    env.update(PYTHONPATH=str(src_root), REPRO_MODULE_CACHE=str(cache_dir))
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env,
-                         capture_output=True, text=True, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
-    assert result["identical"]
-    return result["counters"]
+def _fresh(which):
+    """A private copy of a named design: no kernel state shared with
+    other tests."""
+    from repro.eval.experiments import cached_module
+
+    return pickle.loads(pickle.dumps(cached_module(which)))
 
 
-class TestKernelArtefacts:
-    def test_second_process_compiles_nothing(self, tmp_path):
-        cold = _probe(SRC_ROOT, tmp_path)
-        assert cold.get("compile.kernels", 0) == 1
-        assert cold.get("compile.artefacts.misses", 0) == 1
-        assert len(list(tmp_path.glob("kernel-*-levelized.marshal"))) == 1
-        warm = _probe(SRC_ROOT, tmp_path)
-        assert warm.get("compile.kernels", 0) == 0
-        assert warm.get("compile.artefacts.hits", 0) == 1
-        assert warm.get("module_cache.hits", 0) == 1
-
-    def test_unrelated_source_edit_keeps_kernels(self, tmp_path):
-        src = tmp_path / "src"
-        shutil.copytree(SRC_ROOT / "repro", src / "repro",
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        cache = tmp_path / "cache"
-        _probe(src, cache)
-        with open(src / "repro" / "serve" / "server.py", "a") as fh:
-            fh.write("\n# an edit outside the codegen\n")
-        warm = _probe(src, cache)
-        assert warm.get("module_cache.misses", 0) == 1   # pickle stale
-        assert warm.get("compile.artefacts.hits", 0) == 1
-        assert warm.get("compile.kernels", 0) == 0
-
-    def test_digest_tracks_structure(self):
-        base = netlist_digest(_tiny_module())
-        assert netlist_digest(_tiny_module()) == base
-        assert netlist_digest(_tiny_module("OR2")) != base
-        rewired = _tiny_module()
-        gate = rewired.gates[0]
-        rewired.gates[0] = Gate(gate.kind, (gate.inputs[1], gate.inputs[0]),
-                                gate.output, gate.block)
-        assert netlist_digest(rewired) != base
-        renamed = _tiny_module()
-        renamed.name = "other"
-        assert netlist_digest(renamed) == base
-
-    def test_digest_tracks_interpreter_and_templates(self, monkeypatch):
-        import importlib.util
-
-        base = netlist_digest(_tiny_module())
-        with monkeypatch.context() as mp:
-            mp.setattr(importlib.util, "MAGIC_NUMBER", b"\x00\x00\r\n")
-            assert netlist_digest(_tiny_module()) != base
-        with monkeypatch.context() as mp:
-            mp.setitem(EXPR_TEMPLATES, "XOR2", "({1} ^ {0})")
-            assert netlist_digest(_tiny_module()) != base
-        assert netlist_digest(_tiny_module()) == base
-
-    def test_truncated_artefact_is_rebuilt(self, tmp_path, monkeypatch):
-        from repro.eval.experiments import cached_module
+class TestKernelSelection:
+    def test_one_shot_simulation_compiles_nothing(self, compile_calls):
+        from repro.eval.sweep import measure_design_point
         from repro.eval.workloads import WorkloadGenerator
-        from repro.hdl.sim import compile as compile_mod
 
-        monkeypatch.setenv("REPRO_MODULE_CACHE", str(tmp_path))
-        compiles = []
-        real = compile_mod.compile_module
-        monkeypatch.setattr(compile_mod, "compile_module",
-                            lambda *a: compiles.append(a[1]) or real(*a))
-        module = cached_module("r4")
-        stim = WorkloadGenerator(5).multiplier_stimulus(4)
-        ref = LevelizedSimulator(module, compiled=False).run(stim, 4).values
+        point = measure_design_point("radix-4", _fresh("r4"))
+        assert point.gates > 0
+        stim = WorkloadGenerator(3).multiplier_stimulus(4)
+        report = estimate_power(_fresh("r4_pipe"), default_library(),
+                                stim, 4)
+        assert report.total_toggles > 0
+        assert compile_calls == []
 
-        def run():
-            sim = LevelizedSimulator(module)
-            sim._kernel = CompiledModule(module)     # bypass the memo
-            return sim.run(stim, 4).values
-
-        assert run() == ref
-        (path,) = tmp_path.glob("kernel-*-levelized.marshal")
-        size = path.stat().st_size
-        path.write_bytes(path.read_bytes()[:size // 2])
-        assert run() == ref                  # recompiled, not raised
-        assert compiles == ["levelized", "levelized"]
-        assert path.stat().st_size == size   # and rewritten
-        assert run() == ref
-        assert compiles == ["levelized", "levelized"]
-
-    def test_failed_artefact_write_leaves_no_temp_file(self, tmp_path,
-                                                       monkeypatch):
-        from repro.eval.experiments import cached_module
-        from repro.hdl import diskcache
-
-        def refuse(*args):
-            raise OSError("read-only")
-
-        monkeypatch.setenv("REPRO_MODULE_CACHE", str(tmp_path))
-        monkeypatch.setattr(diskcache.os, "replace", refuse)
-        module = cached_module("r4")
-        CompiledModule(module).run_levelized([0] * module.n_nets, 1)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_full_mode_mutants_write_no_artefacts(self, tmp_path,
-                                                  monkeypatch):
-        """Fault-injection clones are throwaway netlists: their kernels
-        compile in process, so a full-mode campaign leaves no
-        per-mutant files in the cache root."""
-        from repro.eval.experiments import cached_module
-        from repro.eval.fault_injection import (
-            campaign_battery,
-            mutation_coverage,
-        )
-
-        monkeypatch.setenv("REPRO_MODULE_CACHE", str(tmp_path))
-        module = cached_module("r4")
+    def test_plans_are_not_counted_as_compiled_kernels(self, compile_calls):
+        module = _tiny_module()
         reg = obs.registry()
-        kernels_before = reg.counter_value("compile.kernels") or 0
-        result = mutation_coverage(module, n_mutations=4, seed=3,
-                                   mode="full",
-                                   battery=campaign_battery("r16", module))
-        assert result.attempted == 4
-        assert (reg.counter_value("compile.kernels") or 0) > kernels_before
-        digests = {path.name.split("-")[1]
-                   for path in tmp_path.glob("kernel-*.marshal")}
-        assert digests <= {netlist_digest(module)}
-        assert list(tmp_path.glob("*.tmp")) == []
+        before = reg.counter_value("compile.kernels") or 0
+        LevelizedSimulator(module).run({"a": [1, 2, 3]}, 3)
+        assert (reg.counter_value("compile.kernels") or 0) == before
+        assert "levelized" in compiled_module(module)._plans
+        assert compile_calls == []
 
-    def test_disabled_cache_is_never_keyed(self, monkeypatch):
-        from repro.eval.experiments import cached_module
+    def test_compile_twice_compiles_once(self, compile_calls):
+        module = _tiny_module()
+        stim = {"a": [5, 6, 7, 1]}
+        ref = LevelizedSimulator(module, compiled=False).run(stim, 4).values
+        reg = obs.registry()
+        before = reg.counter_value("compile.kernels") or 0
+        cm = compiled_module(module)
+        assert cm.compile() is cm
+        cm.compile()
+        assert (reg.counter_value("compile.kernels") or 0) == before + 1
+        assert len(compile_calls) == 1
+        assert "levelized" not in cm._plans
+        assert LevelizedSimulator(module).run(stim, 4).values == ref
 
-        monkeypatch.setenv("REPRO_MODULE_CACHE", "0")
-        module = cached_module("r4")
-        cm = CompiledModule(module)
-        cm.run_levelized([0] * module.n_nets, 1)
-        assert cm._digest is None            # never even keyed
+    @pytest.mark.parametrize("lane", ["int64", "reduce64"])
+    def test_lane_engines_run_straight_line_code(self, lane):
+        from repro.serve.engine import lane_engine
+        from repro.serve.loadgen import TrafficGenerator
+        from repro.serve.transactions import TxKind, reference_result
+
+        kind = TxKind(lane)
+        engine = lane_engine(kind)
+        cm = compiled_module(engine._module)
+        assert cm._straight is not None
+        gen = TrafficGenerator(seed=5, mix={lane: 1.0})
+        txs = [gen.next_transaction() for __ in range(3)]
+        assert engine.execute(txs) == [reference_result(tx) for tx in txs]
+        assert "levelized" not in cm._plans
+
+    def test_grown_module_rebuilds_its_plan(self):
+        module = _tiny_module()
+        stim = {"a": [1, 6, 3, 4]}
+        first = compiled_module(module)
+        LevelizedSimulator(module).run(stim, 4)
+        assert "levelized" in first._plans
+        module.output("g", [module.gate("INV", module.outputs["o"][0])])
+        grown = LevelizedSimulator(module)
+        assert grown._kernel is not first
+        assert (grown.run(stim, 4).values
+                == LevelizedSimulator(module, compiled=False).run(
+                    stim, 4).values)
+        assert "levelized" in grown._kernel._plans
