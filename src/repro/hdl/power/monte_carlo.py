@@ -26,14 +26,15 @@ replay):
   pattern words, and runs on the compiled C event kernel
   (:mod:`repro.hdl.sim.ckernel`) whenever a system C compiler is
   available;
-* ``workers=N`` shards the cycle sequence into contiguous windows
-  replayed by worker processes.  Each window seeds from the exact
-  levelized values at its first cycle — the event simulator's settled
-  state equals the zero-delay state, so windows are independent and the
-  per-net toggle counts merge deterministically by integer summation.
+* the cycle sequence splits into contiguous windows
+  (:func:`power_shard_plan`) that the scheduler runs as independent
+  leaves (:func:`power_replay_shard`).  Each window seeds from the
+  exact levelized values at its first cycle — the event simulator's
+  settled state equals the zero-delay state, so windows are
+  independent and the per-net toggle counts merge deterministically by
+  integer summation (:func:`power_report_from_shards`).
 """
 
-import os
 import time
 import weakref
 from typing import Dict, List, Optional, Tuple
@@ -79,15 +80,15 @@ def shared_event_simulator(module, library):
 
 
 def estimate_power(module, library, stimulus, n_cycles, frequency_mhz=100.0,
-                   glitch=True, workers=None, attribution=False):
+                   glitch=True, attribution=False):
     """Estimate average power over a stimulus sequence.
 
     ``stimulus`` maps input bus names to per-cycle word lists (as for
     :class:`LevelizedSimulator`).  At least two cycles are needed to
-    observe a transition.  ``workers=N`` (opt-in; default serial, or
-    the ``REPRO_POWER_WORKERS`` environment variable) shards the glitch
-    replay over N processes with a deterministic merge — results are
-    identical to the serial run.  ``attribution=True`` additionally
+    observe a transition.  The glitch replay runs in this process; to
+    spread one point over processes, run its :func:`power_shard_plan`
+    windows as :func:`power_replay_shard` leaves and assemble them with
+    :func:`power_report_from_shards`.  ``attribution=True`` additionally
     keeps the per-net toggle vectors and attaches a
     :class:`~repro.hdl.power.attribution.PowerAttribution` (glitch vs
     functional split by sub-block / cell / pipeline stage) to the
@@ -95,14 +96,6 @@ def estimate_power(module, library, stimulus, n_cycles, frequency_mhz=100.0,
     """
     if n_cycles < 2:
         raise SimulationError("need at least two cycles to measure power")
-    if workers is None:
-        env = os.environ.get("REPRO_POWER_WORKERS", "0") or "0"
-        try:
-            workers = int(env)
-        except ValueError:
-            raise SimulationError(
-                f"REPRO_POWER_WORKERS must be an integer, got {env!r}"
-            ) from None
     t_level = time.perf_counter()
     with obs.span("power:levelized", cat="power", module=module.name,
                   cycles=n_cycles):
@@ -118,9 +111,9 @@ def estimate_power(module, library, stimulus, n_cycles, frequency_mhz=100.0,
 
     if glitch:
         with obs.span("power:glitch_replay", cat="power",
-                      module=module.name, workers=workers or 1):
+                      module=module.name, workers=1):
             event_toggles, sim_stats = _event_toggles(module, library, run,
-                                                      n_cycles, workers)
+                                                      n_cycles)
     else:
         event_toggles = zero_toggles
         sim_stats = {"engine": "zero-delay", "kernel": "none",
@@ -279,12 +272,9 @@ def _replay(esim, packed_values, t_first, t_last):
     return totals, stats
 
 
-def _event_toggles(module, library, run, n_cycles, workers=0):
+def _event_toggles(module, library, run, n_cycles):
     """Glitch-aware toggle counts accumulated over all cycle transitions."""
     transitions = n_cycles - 1
-    if workers and workers > 1 and transitions > 1:
-        return _event_toggles_sharded(module, library, run.values,
-                                      n_cycles, workers)
     esim = shared_event_simulator(module, library)
     t0 = time.perf_counter()
     totals, stats = _replay(esim, run.values, 1, transitions)
@@ -332,8 +322,7 @@ def power_replay_shard(module, library, stimulus, n_cycles, t_first,
 
     Re-runs the (cheap, deterministic) levelized simulation to recover
     the per-net pattern words, then replays only the window.  Returns
-    ``(totals, stats)`` exactly as the in-process shard runner does, so
-    :func:`power_report_from_shards` merges either source identically.
+    the window's ``(totals, stats)`` for :func:`power_report_from_shards`.
     """
     if n_cycles < 2:
         raise SimulationError("need at least two cycles to measure power")
@@ -353,21 +342,18 @@ def power_replay_shard(module, library, stimulus, n_cycles, t_first,
 def merge_shard_results(n_nets, results):
     """Deterministically merge per-window ``(totals, stats)`` pairs.
 
-    Toggle counts sum element-wise (integer arithmetic — order
+    Toggle counts sum column-wise (integer arithmetic — order
     independent); perf counters sum, ``wheel_max_bucket`` takes the
-    max, ``kernel`` last-wins.  Identical rules to the in-process
-    sharded replay, so any partitioning of the transition sequence
-    yields the same merged result.
+    max, ``kernel`` last-wins.  Any partitioning of the transition
+    sequence therefore yields the same merged result.
     """
-    totals = [0] * n_nets
+    windows = [window for window, __ in results]
+    totals = list(map(sum, zip(*windows))) if windows else [0] * n_nets
     merged = {"engine": "wheel", "kernel": "python", "transitions": 0,
               "events_processed": 0, "cancellations": 0,
               "wheel_buckets": 0, "wheel_max_bucket": 0}
-    for window_totals, stats in results:
+    for __, stats in results:
         merged["kernel"] = stats["kernel"]
-        for net, c in enumerate(window_totals):
-            if c:
-                totals[net] += c
         for key in ("transitions", "events_processed", "cancellations",
                     "wheel_buckets"):
             merged[key] += stats[key]
@@ -412,73 +398,6 @@ def power_report_from_shards(module, library, stimulus, n_cycles,
                             event_toggles, sim_stats, energies, owner,
                             zero_energy, t_level, frequency_mhz, True,
                             attribution)
-
-
-def _event_toggles_sharded(module, library, packed_values, n_cycles,
-                           workers):
-    """Shard the transition sequence over worker processes.
-
-    Windows overlap by one cycle: a worker seeds every net from the
-    levelized values of the cycle before its first transition and
-    replays its window, so concatenating the windows reproduces the
-    serial replay transition for transition.
-    """
-    import concurrent.futures
-    import multiprocessing
-
-    transitions = n_cycles - 1
-    workers = min(workers, transitions)
-    windows = transition_windows(n_cycles, workers)
-    workers = len(windows)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:                        # pragma: no cover - non-POSIX
-        ctx = multiprocessing.get_context()
-    t0 = time.perf_counter()
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx,
-            initializer=_shard_init,
-            initargs=(module, library, packed_values)) as pool:
-        results = list(pool.map(_shard_run, windows))
-    elapsed = time.perf_counter() - t0
-
-    for _totals, _stats, obs_payload in results:
-        obs.task_merge(obs_payload)
-    totals, merged = merge_shard_results(
-        module.n_nets, [(t, s) for t, s, _ in results])
-    merged["workers"] = workers
-    merged["elapsed_s"] = elapsed
-    return totals, merged
-
-
-_SHARD_STATE: Dict[str, object] = {}
-
-
-def _shard_init(module, library, packed_values):
-    _SHARD_STATE["esim"] = EventSimulator(module, library)
-    _SHARD_STATE["packed_values"] = packed_values
-
-
-def _shard_run(window):
-    obs.task_begin()
-    t_first, t_last = window
-    t0 = time.perf_counter()
-    with obs.span("power:shard", cat="power", t_first=t_first,
-                  t_last=t_last):
-        totals, stats = _replay(_SHARD_STATE["esim"],
-                                _SHARD_STATE["packed_values"],
-                                t_first, t_last)
-    stats["workers"] = 1
-    stats["elapsed_s"] = time.perf_counter() - t0
-    obs.registry().record(
-        "power.shards",
-        {"t_first": t_first, "t_last": t_last,
-         **obs.normalize_sim_stats(stats)})
-    # Parent merges stats itself; strip the per-shard-only keys so the
-    # deterministic merge sees exactly what the serial path produces.
-    stats = {k: v for k, v in stats.items()
-             if k not in ("workers", "elapsed_s")}
-    return totals, stats, obs.task_collect()
 
 
 # ----------------------------------------------------------------------

@@ -33,15 +33,21 @@ Two event engines are available:
 
 Both engines process events in the identical order — ascending time,
 insertion order within a timestamp, with the same inertial cancellation
-rule — and therefore produce **bit-identical** ``TransitionCounts``.
+rule — and therefore produce identical toggles, values and settle
+times.  Their ``events_processed`` and ``cancelled`` counters differ:
+the wheel never schedules the evaluations its deferred evaluation and
+no-op suppression skip.
 
-For long cycle replays :meth:`EventSimulator.replay` additionally uses
-the optional compiled C kernel (:mod:`repro.hdl.sim.ckernel`) when a
-system C compiler is available — the same event order and cancellation
-rule executed outside the interpreter, again bit-identical.
+For cycle replays :meth:`EventSimulator.replay` runs the optional
+compiled C kernel (:mod:`repro.hdl.sim.ckernel`) when a system C
+compiler is available.  It is a translation of the wheel engine —
+exact-time buckets, deferred evaluation, no-op suppression — so the
+kernel and the Python wheel agree on the whole ``TransitionCounts``,
+counters included.
 """
 
 import heapq
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -195,10 +201,10 @@ class EventSimulator:
 
         Transitions run on the compiled C kernel when available
         (:attr:`kernel` is ``"c"``) and otherwise on this instance's
-        Python engine, one :meth:`apply` delta per transition.  Both
-        process events in the identical total order by (maturity time,
-        schedule sequence), so the accumulated per-net toggle counts
-        are **bit-identical** across all three paths.
+        Python engine, one :meth:`apply` delta per transition.  The
+        kernel runs the wheel algorithm, so on a wheel instance both
+        paths return equal :class:`TransitionCounts`; the heap engine
+        agrees on toggles, values and settle time.
 
         Returns an aggregate :class:`TransitionCounts` over the whole
         window (``settle_time_ps`` is the final transition's).  On
@@ -225,26 +231,25 @@ class EventSimulator:
             t = t_first
             while t <= t_last:
                 span = min(ckernel.WINDOW_TRANSITIONS, t_last - t + 1)
-                ev, ca, settle = ck.run(packed_values, t - 1, span)
+                ev, ca, nb, mb, settle = ck.run(packed_values, t - 1, span)
                 events += ev
                 cancelled += ca
+                n_buckets += nb
+                if mb > max_bucket:
+                    max_bucket = mb
                 t += span
             # Publish the kernel's state: toggle totals, and the settled
             # scalar values (cycle t_last), so apply() can continue.
-            ck_toggles = ck.toggles
-            for net in range(n_nets):
-                count = ck_toggles[net]
-                if count:
-                    toggles[net] += count
-            values = self.values
-            ck_values = ck.values
-            for net in range(n_nets):
-                values[net] = ck_values[net]
+            toggles[:n_nets] = map(operator.add, toggles, ck.toggle_list())
+            self.values[:] = bytes(ck.values)
             self._initialized = True
             stats = self.stats
             stats["applies"] += transitions
             stats["events"] += events
             stats["cancelled"] += cancelled
+            stats["wheel_buckets"] += n_buckets
+            if max_bucket > stats["wheel_max_bucket"]:
+                stats["wheel_max_bucket"] = max_bucket
         else:
             stim_order = self._stim_order
             self.initialize({net: (packed_values[net] >> (t_first - 1)) & 1
@@ -308,6 +313,8 @@ class EventSimulator:
         #
         # Both change ``events_processed`` bookkeeping relative to the
         # heap engine but provably not toggles, values or settle time.
+        # ``sim_replay`` in ckernel.py translates this loop step for
+        # step; a change here must be made there too.
         values = self.values
         fanout = self._fanout
         delay = self._delay

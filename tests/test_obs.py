@@ -520,38 +520,10 @@ class TestPowerAttribution:
 
 
 # ----------------------------------------------------------------------
-# fork safety: Monte Carlo shards and orchestrator workers
+# fork safety: orchestrator workers
 # ----------------------------------------------------------------------
 
 class TestWorkerMerge:
-    def test_sharded_monte_carlo_merges_without_double_count(self):
-        module, stim = _module_and_stim(8)
-        lib = default_library()
-        reg = obs.registry()
-
-        serial = estimate_power(module, lib, stim, 8)
-        serial_snap = reg.snapshot()
-        reg.reset()
-        sharded = estimate_power(module, lib, stim, 8, workers=2)
-        sharded_snap = reg.snapshot()
-
-        # Exactly-once merge: both runs replay the same 7 transitions.
-        assert serial_snap["counters"]["sim.replay.transitions"] == 7
-        assert sharded_snap["counters"]["sim.replay.transitions"] == 7
-        assert (sharded_snap["counters"]["sim.replay.events"]
-                == serial_snap["counters"]["sim.replay.events"])
-        shards = sharded_snap["records"]["power.shards"]
-        assert len(shards) == 2
-        assert sum(s["transitions"] for s in shards) == 7
-        for s in shards:
-            assert s["workers"] == 1 and s["elapsed_s"] >= 0
-        # The headline power merge is untouched by the obs payloads.
-        assert sharded.dynamic_mw == serial.dynamic_mw
-        assert (sharded.sim_stats["events_processed"]
-                == serial.sim_stats["events_processed"])
-        assert sharded.sim_stats["elapsed_s"] > 0
-        assert sharded.sim_stats["transitions_per_s"] > 0
-
     def test_orchestrator_workers_merge_job_metrics(self):
         from repro.eval.orchestrator import run_experiment
 

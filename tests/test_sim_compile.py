@@ -291,9 +291,62 @@ class TestReplay:
         slow._ck = None        # force the pure-Python replay path
         cf = fast.replay(run.values, 1, n - 1)
         cs = slow.replay(run.values, 1, n - 1)
-        assert cf.toggles == cs.toggles
-        assert cf.settle_time_ps == cs.settle_time_ps
+        # One algorithm on both paths: toggles, settle time and every
+        # counter (events, cancellations, buckets) agree.
+        assert cf == cs
         assert fast.values == slow.values
+        assert fast.stats == slow.stats
+
+    @pytest.mark.parametrize("name", ["r4", "r16_pipe", "mf"])
+    def test_kernel_matches_python_wheel_on_multipliers(self, name):
+        from repro.eval.experiments import cached_module
+        from repro.eval.workloads import WorkloadGenerator
+
+        module = cached_module(name)
+        n = 4
+        gen = WorkloadGenerator(5)
+        stim = (gen.mf_stimulus("fp64", n) if name == "mf"
+                else gen.multiplier_stimulus(n))
+        run = LevelizedSimulator(module).run(stim, n)
+        lib = default_library()
+        fast = EventSimulator(module, lib)
+        slow = EventSimulator(module, lib)
+        slow._ck = None
+        cf = fast.replay(run.values, 1, n - 1)
+        assert cf == slow.replay(run.values, 1, n - 1)
+        assert cf.wheel_buckets > 0 and cf.cancelled > 0
+        assert fast.values == slow.values
+
+    def test_same_time_retrigger_is_evaluated_once(self):
+        # Two equal-delay inverters feed one XOR2; when their common
+        # input rises, both fall in one timestamp's bucket.  The heap
+        # engine evaluates the XOR after each (scheduling a 1, then a
+        # cancelling 0); the wheel defers to one evaluation after the
+        # bucket drains, which finds the output unchanged and
+        # schedules nothing.
+        m = Module("retrigger")
+        a = m.input("a", 1)
+        x = m.gate("INV", a[0])
+        y = m.gate("INV", a[0])
+        z = m.gate("XOR2", x, y)
+        m.output("o", [z])
+        lib = default_library()
+        run = LevelizedSimulator(m).run({"a": [0, 1]}, 2)
+        fast = EventSimulator(m, lib)
+        assert fast._delay[0] == fast._delay[1]
+        slow = EventSimulator(m, lib)
+        slow._ck = None
+        cf = fast.replay(run.values, 1, 1)
+        assert cf == slow.replay(run.values, 1, 1)
+        assert (cf.events_processed, cf.cancelled) == (2, 0)
+        assert (cf.wheel_buckets, cf.wheel_max_bucket) == (1, 2)
+
+        heap = EventSimulator(m, lib, engine="heap")
+        heap.initialize({a[0]: 0})
+        ch = heap.apply({a[0]: 1})
+        assert (ch.events_processed, ch.cancelled) == (4, 1)
+        assert cf.toggles == ch.toggles
+        assert cf.toggles[z] == 0 and cf.toggles[x] == cf.toggles[y] == 1
 
     def test_settles_to_final_cycle_state(self):
         from repro.eval.experiments import cached_module
@@ -395,14 +448,8 @@ class TestToposort:
 
 
 # ----------------------------------------------------------------------
-# Monte Carlo: shared simulator, stats, sharding
+# Monte Carlo: shared simulator, stats
 # ----------------------------------------------------------------------
-
-def _power_fields(report):
-    return (report.dynamic_mw, report.register_mw, report.leakage_mw,
-            report.zero_delay_dynamic_mw, report.by_block_mw,
-            report.total_toggles)
-
 
 class TestMonteCarlo:
     def _module_and_stim(self, n_cycles):
@@ -436,27 +483,28 @@ class TestMonteCarlo:
         flat = estimate_power(module, lib, stim, 4, glitch=False)
         assert flat.sim_stats["engine"] == "zero-delay"
 
-    def test_workers_match_serial(self):
+
+    def test_shard_leaves_match_serial(self):
+        from repro.hdl.power.monte_carlo import (
+            power_replay_shard,
+            power_report_from_shards,
+            power_shard_plan,
+        )
+
         module, stim = self._module_and_stim(8)
         lib = default_library()
         serial = estimate_power(module, lib, stim, 8)
-        sharded = estimate_power(module, lib, stim, 8, workers=2)
-        assert _power_fields(sharded) == _power_fields(serial)
-        assert sharded.sim_stats["workers"] == 2
-        assert (sharded.sim_stats["events_processed"]
-                == serial.sim_stats["events_processed"])
-
-    def test_workers_env_opt_in(self, monkeypatch):
-        module, stim = self._module_and_stim(4)
-        monkeypatch.setenv("REPRO_POWER_WORKERS", "2")
-        report = estimate_power(module, default_library(), stim, 4)
-        assert report.sim_stats["workers"] == 2
-
-    def test_workers_env_rejects_garbage(self, monkeypatch):
-        module, stim = self._module_and_stim(4)
-        monkeypatch.setenv("REPRO_POWER_WORKERS", "abc")
-        with pytest.raises(SimulationError, match="REPRO_POWER_WORKERS"):
-            estimate_power(module, default_library(), stim, 4)
+        plan = power_shard_plan(8, max_transitions=3)
+        assert len(plan) == 3
+        shards = [power_replay_shard(module, lib, stim, 8, lo, hi)
+                  for lo, hi in plan]
+        merged = power_report_from_shards(module, lib, stim, 8, shards)
+        assert merged.dynamic_mw == serial.dynamic_mw
+        assert merged.by_block_mw == serial.by_block_mw
+        assert merged.total_toggles == serial.total_toggles
+        assert merged.sim_stats["workers"] == 3
+        for key in ("transitions", "events_processed", "cancellations"):
+            assert merged.sim_stats[key] == serial.sim_stats[key]
 
 
 # ----------------------------------------------------------------------
